@@ -50,8 +50,10 @@ pub fn alg4_arith(p: &Problem, n: usize, p0: u64, grid: &[u64]) -> f64 {
 }
 
 /// Counted atomic local MTTKRP multiply/add costs: `|X| R (N-1)` multiplies
-/// and `|X| R` additions (exactly what [`crate::kernels::local_mttkrp`]
-/// performs).
+/// and `|X| R` additions — one fused `N`-ary product per iteration point
+/// (Definition 2.1). An upper bound on what [`crate::kernels::local_mttkrp`]
+/// performs, since its walk reuses each run's Hadamard row and, for
+/// `n != 0`, folds a run into one GEMV.
 pub fn atomic_kernel_flops(tensor_entries: u64, rank: u64, order: u64) -> (u64, u64) {
     (tensor_entries * rank * (order - 1), tensor_entries * rank)
 }

@@ -71,7 +71,7 @@ pub fn cp_als(x: &DenseTensor, r: usize, opts: &CpAlsOptions) -> CpAlsRun {
 
     for _sweep in 0..opts.max_iters {
         iterations += 1;
-        let mut last_mttkrp = None;
+        let mut inner = 0.0;
         for n in 0..order {
             let refs: Vec<&Matrix> = factors.iter().collect();
             let b = local_mttkrp(x, &refs, n);
@@ -86,6 +86,15 @@ pub fn cp_als(x: &DenseTensor, r: usize, opts: &CpAlsOptions) -> CpAlsRun {
                 v = v.hadamard(g);
             }
             let mut a_new = solve_spd_right(&b, &v).expect("normal equations solve failed");
+            if n == order - 1 {
+                // The fit's <X, Xhat> term is <B, A> with the last mode's
+                // MTTKRP and its update before normalization — the same
+                // arithmetic as `par::dist_cp_als`, so a one-rank
+                // distributed run reproduces this one bitwise.
+                for (&bv, &av) in b.data().iter().zip(a_new.data()) {
+                    inner += bv * av;
+                }
+            }
             weights = a_new.normalize_cols();
             // Columns that collapsed to zero: keep zero weight, unit dummy.
             for (j, w) in weights.iter().enumerate() {
@@ -97,22 +106,10 @@ pub fn cp_als(x: &DenseTensor, r: usize, opts: &CpAlsOptions) -> CpAlsRun {
             }
             grams[n] = a_new.gram();
             factors[n] = a_new;
-            if n == order - 1 {
-                last_mttkrp = Some(b);
-            }
         }
 
         // Fit via the normal-equations identity, using the last mode's
         // MTTKRP (computed with the final values of all other factors).
-        let b = last_mttkrp.expect("at least one mode updated");
-        let a_last = &factors[order - 1];
-        let mut inner = 0.0;
-        for i in 0..a_last.rows() {
-            let (br, ar) = (b.row(i), a_last.row(i));
-            for c in 0..r {
-                inner += br[c] * ar[c] * weights[c];
-            }
-        }
         let mut vall = Matrix::from_fn(r, r, |_, _| 1.0);
         for g in &grams {
             vall = vall.hadamard(g);

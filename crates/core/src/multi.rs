@@ -217,8 +217,10 @@ pub fn mttkrp_all_modes_tree(x: &DenseTensor, factors: &[&Matrix]) -> (Vec<Matri
     (outputs, flops)
 }
 
-/// The naive comparison: `N` independent single-mode MTTKRPs straight from
-/// Definition 2.1, with the same flop accounting.
+/// The naive comparison: `N` independent single-mode MTTKRPs, each a pass
+/// of [`crate::kernels::local_mttkrp`]. Flops are counted for the atomic
+/// formulation of Definition 2.1 ([`crate::arith::atomic_kernel_flops`]),
+/// the `N (N-1) I R`-multiply baseline the module doc compares against.
 pub fn mttkrp_all_modes_naive(x: &DenseTensor, factors: &[&Matrix]) -> (Vec<Matrix>, FlopCount) {
     let order = x.order();
     let mut flops = FlopCount::default();

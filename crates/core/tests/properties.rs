@@ -3,6 +3,9 @@
 //! closed-form models, and the lower-bound machinery holds on random
 //! iteration subsets.
 
+use mttkrp_core::kernels::{
+    local_mttkrp, native_tile, LocalKernel, DEFAULT_CACHE_WORDS, FLAT_BLOCK_MIN_FACTOR_WORDS,
+};
 use mttkrp_core::{bounds, hbl, model, par, seq, Problem};
 use mttkrp_tensor::{mttkrp_reference, DenseTensor, Matrix, Shape};
 use proptest::prelude::*;
@@ -148,5 +151,98 @@ proptest! {
         let all = mttkrp_core::grid_opt::factorizations(procs, 3);
         let g = &all[pick % all.len()];
         prop_assert!(model::alg3_cost(&p, g) >= best - 1e-9);
+    }
+}
+
+/// Checks the one local kernel against the oracle on every mode: the
+/// single-threaded [`local_mttkrp`] pass, `exec::mttkrp_native` (the same
+/// walk partitioned over a pool) on 1, 2 and 8 threads, and the flat walk
+/// of [`LocalKernel`] over two ranges split mid-run (so a tall shape runs
+/// the blocked walk with a partial head and tail run), with tiles 1, 2, an
+/// odd edge, and the default. Agreement is to 1e-12 relative to the
+/// oracle's Frobenius norm.
+fn check_unified_kernel(dims: &[usize], r: usize, seed: u64, odd_tile: usize) {
+    let (x, factors) = build(dims, r, seed);
+    let refs: Vec<&Matrix> = factors.iter().collect();
+    let pools: Vec<rayon::ThreadPool> = [1, 2, 8]
+        .iter()
+        .map(|&t| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(t)
+                .build()
+                .unwrap()
+        })
+        .collect();
+    let tiles = [
+        1,
+        2,
+        odd_tile,
+        native_tile(DEFAULT_CACHE_WORDS, dims.len(), r),
+    ];
+    for n in 0..dims.len() {
+        let want = mttkrp_reference(&x, &refs, n);
+        let tol = 1e-12 * want.frob_norm();
+        let local = local_mttkrp(&x, &refs, n);
+        assert!(
+            local.max_abs_diff(&want) <= tol,
+            "local_mttkrp: dims {dims:?}, r {r}, mode {n}"
+        );
+        let entries = x.num_entries();
+        for &tile in &tiles {
+            let kernel = LocalKernel::new(&x, &refs, n).with_tile(tile);
+            let mut flat = Matrix::zeros(dims[n], r);
+            kernel.accumulate_flat(0, entries / 3, flat.data_mut());
+            kernel.accumulate_flat(entries / 3, entries, flat.data_mut());
+            assert!(
+                flat.max_abs_diff(&want) <= tol,
+                "flat walk: dims {dims:?}, r {r}, mode {n}, tile {tile}"
+            );
+        }
+        for pool in &pools {
+            for &tile in &tiles {
+                let got = mttkrp_exec::mttkrp_native(&x, &refs, n, tile, pool);
+                assert!(
+                    got.max_abs_diff(&want) <= tol,
+                    "mttkrp_native: dims {dims:?}, r {r}, mode {n}, {} threads, tile {tile}",
+                    pool.current_num_threads()
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn unified_kernel_matches_oracle_on_small_shapes(
+        dims in prop::collection::vec(1usize..6, 2..6),
+        r in 1usize..10,
+        seed in 0u64..1000,
+        half in 1usize..4,
+    ) {
+        check_unified_kernel(&dims, r, seed, 2 * half + 1);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Tall-skinny shapes whose mode-0 factor reaches
+    /// `FLAT_BLOCK_MIN_FACTOR_WORDS`, so the flat walk takes its blocked
+    /// path (and the 8-thread native run, with a last mode below 16, takes
+    /// flat entry ranges).
+    #[test]
+    fn unified_kernel_matches_oracle_on_blocked_flat_shapes(
+        rest in prop::collection::vec(1usize..4, 1..3),
+        r in 1usize..10,
+        extra in 0usize..7,
+        seed in 0u64..1000,
+        half in 1usize..4,
+    ) {
+        let mut dims = vec![FLAT_BLOCK_MIN_FACTOR_WORDS.div_ceil(r) + extra];
+        dims.extend(&rest);
+        prop_assert!(dims[0] * r >= FLAT_BLOCK_MIN_FACTOR_WORDS);
+        check_unified_kernel(&dims, r, seed, 2 * half + 1);
     }
 }

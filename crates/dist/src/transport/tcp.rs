@@ -26,7 +26,8 @@
 //! - a rank that *dies silently* (SIGKILL, machine loss) never says
 //!   goodbye: its kernel closes the sockets and the per-peer reader thread
 //!   turns the EOF/reset into a synthesized "connection lost" event —
-//!   receivers abort at once;
+//!   receivers abort at once, relaying the lost rank to their live peers
+//!   ([`Frame::poison_lost`]) so every abort names the root cause;
 //! - a rank that *finishes* writes an orderly `FIN` frame; peers expect
 //!   nothing further from it, and [`Transport::finish`] waits for every
 //!   peer's goodbye, so the quiescence check is meaningful;
@@ -80,8 +81,9 @@ enum Event {
         comm_id: u64,
         payload: Vec<f64>,
     },
-    /// The peer announced its own panic.
-    Poison { from: usize },
+    /// The peer announced its own panic, or (`lost: Some(k)`) relayed
+    /// that it is aborting because its connection to rank `k` died.
+    Poison { from: usize, lost: Option<usize> },
     /// The peer finished its rank program; nothing valid follows.
     Fin { from: usize },
     /// The connection died without a goodbye (reset, EOF, bad frame) —
@@ -309,12 +311,26 @@ impl TcpTransport {
                 comm_id,
                 payload,
             }) => Some((from, comm_id, payload)),
-            Ok(Event::Poison { from }) => {
+            Ok(Event::Poison { from, lost }) => {
                 self.done[from] = true;
-                panic!("rank {me} aborting: peer rank {from} panicked mid-run")
+                match lost {
+                    Some(lost) => panic!(
+                        "rank {me} aborting: peer rank {lost} connection lost mid-run \
+                         (relayed by rank {from})"
+                    ),
+                    None => panic!("rank {me} aborting: peer rank {from} panicked mid-run"),
+                }
             }
             Ok(Event::Lost { from }) => {
                 self.done[from] = true;
+                // Tell the live peers why before this rank's own sockets
+                // close: one that sees this rank's EOF before its own EOF
+                // from `from` still names the root cause.
+                for (peer, stream) in self.writers.iter().enumerate() {
+                    if let Some(stream) = stream.as_ref().filter(|_| !self.done[peer]) {
+                        let _ = wire::write_frame(&mut &*stream, &Frame::poison_lost(me, from));
+                    }
+                }
                 panic!("rank {me} aborting: peer rank {from} connection lost mid-run")
             }
             Ok(Event::Fin { from }) => {
@@ -463,7 +479,10 @@ fn read_loop(mut stream: TcpStream, peer: usize, tx: Sender<Event>) {
     loop {
         match wire::read_frame(&mut stream) {
             Ok(frame) if frame.poison => {
-                let _ = tx.send(Event::Poison { from: peer });
+                let _ = tx.send(Event::Poison {
+                    from: peer,
+                    lost: frame.lost_rank(),
+                });
                 return;
             }
             Ok(frame) if frame.comm_id == wire::CTRL_FIN => {
@@ -713,6 +732,22 @@ mod tests {
         drop(e0); // no poison, no FIN: sockets just close
         let msg = blocked.join().unwrap();
         assert!(msg.contains("connection lost mid-run"), "got: {msg}");
+    }
+
+    #[test]
+    fn relayed_loss_names_the_lost_rank() {
+        let (e0, mut e1) = wire_pair();
+        let world = e1.world();
+        let to_e1 = e0.writers[1].as_ref().unwrap();
+        wire::write_frame(&mut &*to_e1, &Frame::poison_lost(0, 7)).unwrap();
+        e1.begin_phase(Phase::TensorAllGather);
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| e1.recv(&world, 0)));
+        let msg = out.expect_err("a relayed loss must abort the receiver");
+        let msg = msg.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            msg.contains("peer rank 7 connection lost mid-run (relayed by rank 0)"),
+            "got: {msg}"
+        );
     }
 
     #[test]

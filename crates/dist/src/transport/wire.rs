@@ -171,6 +171,24 @@ impl Frame {
         }
     }
 
+    /// A relayed poison frame: `from` is aborting because its connection
+    /// to rank `lost` died. The lost rank travels in `comm_id` as
+    /// `lost + 1` (a plain [`Frame::poison`] carries 0), so a peer that
+    /// sees `from`'s abort before its own EOF from `lost` still names the
+    /// root cause.
+    pub fn poison_lost(from: usize, lost: usize) -> Frame {
+        Frame {
+            comm_id: lost as u64 + 1,
+            ..Frame::poison(from)
+        }
+    }
+
+    /// The rank whose lost connection a [`Frame::poison_lost`] relays;
+    /// `None` for any other frame.
+    pub fn lost_rank(&self) -> Option<usize> {
+        (self.poison && self.comm_id > 0).then(|| (self.comm_id - 1) as usize)
+    }
+
     /// An orderly-goodbye frame: `from` finished its rank program.
     pub fn fin(from: usize) -> Frame {
         Frame {
@@ -649,12 +667,16 @@ mod tests {
             Frame::data(7, 0xDEAD_BEEF, vec![1.5, -2.25, 0.0]),
             Frame::data(0, 3, Vec::new()),
             Frame::poison(2),
+            Frame::poison_lost(4, 0),
             Frame::fin(5),
         ] {
             let bytes = encode(&frame);
             assert_eq!(decode(&bytes).unwrap(), frame, "{frame:?}");
             assert_eq!(frame_wire_bytes(&frame), bytes.len(), "{frame:?}");
         }
+        assert_eq!(Frame::poison_lost(4, 0).lost_rank(), Some(0));
+        assert_eq!(Frame::poison(2).lost_rank(), None);
+        assert_eq!(Frame::fin(5).lost_rank(), None);
     }
 
     #[test]

@@ -73,7 +73,8 @@ pub use cache::{
 };
 pub use executor::{execute, plan_and_execute, Executor};
 pub use machine::{MachineSpec, TransportSpec, DEFAULT_CACHE_WORDS};
-pub use native::{mttkrp_native, native_grain, native_tile, NativeBackend, ParGrain};
+pub use mttkrp_core::kernels::native_tile;
+pub use native::{mttkrp_native, native_grain, NativeBackend, ParGrain};
 pub use plan::{Algorithm, Candidate, Plan};
 pub use planner::{Planner, DEFAULT_NEAR_TIE_BAND, MIN_EVIDENCE_RUNS};
 pub use sim::SimBackend;

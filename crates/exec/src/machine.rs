@@ -1,8 +1,8 @@
 //! Machine descriptions the planner optimizes for.
 
-/// Default planner cache capacity when nothing better is known: 2^21 words
-/// (16 MiB of `f64`), a typical shared last-level cache slice.
-pub const DEFAULT_CACHE_WORDS: usize = 1 << 21;
+/// Default planner cache capacity when nothing better is known (see
+/// [`mttkrp_core::kernels::DEFAULT_CACHE_WORDS`]).
+pub use mttkrp_core::kernels::DEFAULT_CACHE_WORDS;
 
 /// How the ranks of a distributed machine exchange words.
 ///

@@ -1,4 +1,10 @@
-//! The native backend: cache-tiled dense MTTKRP on a rayon thread pool.
+//! The native backend: the [`mttkrp_core::kernels`] local kernel,
+//! partitioned over a rayon thread pool.
+//!
+//! This module does no per-entry arithmetic of its own. It chooses a
+//! parallel grain, splits the tensor, runs [`LocalKernel`] on each piece
+//! and folds the pieces' outputs; the cache-tiled walk and its GEMV fusion
+//! live in `core::kernels`, shared with every other backend.
 //!
 //! Parallel decomposition: the tensor is split into contiguous *last-mode
 //! slabs* (disjoint `&[f64]` slices, handed out by the unsafe-free
@@ -8,48 +14,23 @@
 //! otherwise each rayon fold keeps a per-thread accumulator matrix and the
 //! partials are summed in the reduce step — no locks, no `unsafe`.
 //!
-//! Cache tiling: within a slab, the iteration space is walked in `b`-edge
-//! tensor blocks in the spirit of Algorithm 2 / `seq::choose_block_size`,
-//! with the Eq. (11) residency constraint made rank-aware
-//! (`b^N + N*b*R <= M`, since a factor sub-block is `b x R` words here).
-//! Mode-0 runs inside a block stream contiguously through the tensor.
-//!
 //! Parallel grain: last-mode slabs are the preferred decomposition (the
-//! slab data is contiguous and the tiled kernel walks it cache-friendly),
-//! but a tensor whose *last* mode is smaller than the pool (e.g.
-//! `512 x 512 x 2`) cannot feed every worker that way. [`native_grain`]
-//! detects this and switches to *flat entry ranges*: the tensor's colex
-//! data is split into `~4 x threads` contiguous chunks of entries —
-//! shape-independent, so the pool is always fed — and each chunk is
-//! accumulated into a per-thread output matrix, summed in the reduction.
-//! The flat path gets the same `b`-edge cache treatment as the slab path
-//! once the mode-0 factor outgrows a per-core cache
-//! ([`FLAT_BLOCK_MIN_FACTOR_WORDS`]): whole mode-0 runs are walked in
-//! `tile x tile` bands (cached Hadamard rows, one `b x R` block of
-//! `A^(1)` resident across a band of runs), so large skinny tensors no
-//! longer re-stream the mode-0 factor per run; small factors keep the
-//! perfectly sequential streamed walk.
+//! slab data is contiguous and the tiled walk runs within it), but a
+//! tensor whose *last* mode is smaller than the pool (e.g. `512 x 512 x
+//! 2`) cannot feed every worker that way. [`native_grain`] detects this and
+//! switches to *flat entry ranges*: the tensor's colex data is split into
+//! `~4 x threads` contiguous chunks of entries — shape-independent, so the
+//! pool is always fed — and each chunk is accumulated into a per-thread
+//! output matrix, summed in the reduction.
 
 use crate::backend::{Backend, ExecCost, ExecReport};
 use crate::machine::DEFAULT_CACHE_WORDS;
 use crate::plan::Plan;
+use mttkrp_core::kernels::{native_tile, LocalKernel};
 use mttkrp_core::par::dist::split_range;
-use mttkrp_core::seq;
 use mttkrp_tensor::{DenseTensor, Matrix};
 use rayon::prelude::*;
 use std::time::Instant;
-
-/// The largest block edge `b >= 1` with `b^order + order*b*rank <= m`
-/// ([`seq::choose_block_size_with_rank`], the rank-aware analogue of
-/// Eq. (11)): each of the `order` factor sub-blocks held in cache is
-/// `b x rank` words. Unlike the core helper this never panics — a cache
-/// too small for any tile just degrades to `b = 1`.
-pub fn native_tile(m: usize, order: usize, rank: usize) -> usize {
-    match order.checked_mul(rank).and_then(|f| f.checked_add(1)) {
-        Some(min_words) if m >= min_words => seq::choose_block_size_with_rank(m, order, rank),
-        _ => 1,
-    }
-}
 
 /// How [`mttkrp_native`] splits work across the pool.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,268 +74,6 @@ pub fn native_grain(i_last: usize, entries: usize, threads: usize) -> ParGrain {
     }
 }
 
-/// The mode-0 factor footprint (in words) above which the flat-range path
-/// switches from run-by-run streaming to the blocked (`b`-edge) walk.
-///
-/// Streaming keeps one output row and re-reads `A^(1)` top to bottom for
-/// every run: when `I_0 x R` fits a per-core cache that costs nothing
-/// (and the perfectly sequential tensor walk prefetches best), but once
-/// the factor spills, every run re-streams it from memory — `R` times the
-/// tensor's own traffic. Half a MiB (2^16 words) is a conservative
-/// per-core-L2-sized threshold for "it spilled": below it blocking is
-/// noise-to-slightly-negative, above it measured wins are 20%+ and grow
-/// with `I_0` (see the `native_flat` group of the `exec_backends` bench).
-pub const FLAT_BLOCK_MIN_FACTOR_WORDS: usize = 1 << 16;
-
-/// Whether the blocked flat walk is worth it for a mode-0 extent of `i0`
-/// at rank `r` (see [`FLAT_BLOCK_MIN_FACTOR_WORDS`]).
-fn flat_blocking_pays(i0: usize, r: usize) -> bool {
-    i0.saturating_mul(r) >= FLAT_BLOCK_MIN_FACTOR_WORDS
-}
-
-/// The per-slab kernel parameters shared by every worker: the operands,
-/// output mode, tile edge, and rank.
-struct SlabKernel<'a> {
-    x: &'a DenseTensor,
-    factors: &'a [&'a Matrix],
-    n: usize,
-    tile: usize,
-    r: usize,
-}
-
-impl SlabKernel<'_> {
-    /// Accumulates the MTTKRP contribution of one contiguous last-mode slab
-    /// (last-mode indices `[j0, j0 + depth)`) into `out`, a row-major
-    /// `r`-column buffer indexed by `global_output_row - out_row0`.
-    fn accumulate(&self, j0: usize, slab: &[f64], out: &mut [f64], out_row0: usize) {
-        let (x, factors, n, r) = (self.x, self.factors, self.n, self.r);
-        let shape = x.shape();
-        let order = shape.order();
-        let last = order - 1;
-        let strides = shape.strides();
-        let depth = slab.len() / x.last_mode_slab_len();
-        let tile = self.tile.max(1);
-
-        // Extents of this slab's iteration space (full in every mode but the
-        // last) and the per-mode tile counts.
-        let mut ext: Vec<usize> = shape.dims().to_vec();
-        ext[last] = depth;
-        let ntiles: Vec<usize> = ext.iter().map(|&e| e.div_ceil(tile)).collect();
-        let total_tiles: usize = ntiles.iter().product();
-
-        let mut lo = vec![0usize; order];
-        let mut hi = vec![0usize; order];
-        let mut idx = vec![0usize; order];
-        let mut w = vec![0.0f64; r];
-
-        for t in 0..total_tiles {
-            let mut tt = t;
-            for k in 0..order {
-                let tk = tt % ntiles[k];
-                tt /= ntiles[k];
-                lo[k] = tk * tile;
-                hi[k] = (lo[k] + tile).min(ext[k]);
-            }
-            idx.copy_from_slice(&lo);
-            loop {
-                // w = Hadamard product of the participating factor rows for
-                // modes 1..N (mode 0 is handled in the inner streaming loop).
-                w.iter_mut().for_each(|v| *v = 1.0);
-                for (k, f) in factors.iter().enumerate().skip(1) {
-                    if k == n {
-                        continue;
-                    }
-                    let gi = if k == last { j0 + idx[k] } else { idx[k] };
-                    for (wv, &a) in w.iter_mut().zip(f.row(gi)) {
-                        *wv *= a;
-                    }
-                }
-                // Linear offset (within the slab) of (0, idx[1], ..., idx[N-1]).
-                let base: usize = (1..order).map(|k| idx[k] * strides[k]).sum();
-
-                if n == 0 {
-                    for i0 in lo[0]..hi[0] {
-                        let xv = slab[base + i0];
-                        let o = (i0 - out_row0) * r;
-                        for (ov, &wv) in out[o..o + r].iter_mut().zip(&w) {
-                            *ov += xv * wv;
-                        }
-                    }
-                } else {
-                    let gn = if n == last { j0 + idx[n] } else { idx[n] };
-                    let o = (gn - out_row0) * r;
-                    let (orow, f0) = (&mut out[o..o + r], factors[0]);
-                    for i0 in lo[0]..hi[0] {
-                        let xv = slab[base + i0];
-                        let a0 = f0.row(i0);
-                        for c in 0..r {
-                            orow[c] += xv * a0[c] * w[c];
-                        }
-                    }
-                }
-
-                // Odometer over modes 1..N within the tile.
-                let mut k = 1;
-                while k < order {
-                    idx[k] += 1;
-                    if idx[k] < hi[k] {
-                        break;
-                    }
-                    idx[k] = lo[k];
-                    k += 1;
-                }
-                if k >= order {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Accumulates the MTTKRP contribution of the flat entry range
-    /// `[lo, hi)` of the tensor's colex data into `out`, a row-major
-    /// `I_n x r` buffer.
-    ///
-    /// With `tile <= 1` the range is streamed run by run
-    /// ([`Self::accumulate_flat_streamed`]); otherwise the complete mode-0
-    /// runs inside the range are walked in `b`-edge blocks
-    /// ([`Self::accumulate_flat_blocked`]) — the same cache treatment the
-    /// slab path gets — with any partial head/tail run streamed as before.
-    fn accumulate_flat(&self, lo: usize, hi: usize, out: &mut [f64]) {
-        let i0 = self.x.shape().dim(0);
-        if self.tile <= 1 || !flat_blocking_pays(i0, self.r) {
-            return self.accumulate_flat_streamed(lo, hi, out);
-        }
-        // Split the range into a partial head run, whole runs, and a
-        // partial tail run; only whole runs go through the blocked walk.
-        let head_end = lo.next_multiple_of(i0).min(hi);
-        let tail_start = (hi / i0 * i0).max(head_end);
-        self.accumulate_flat_streamed(lo, head_end, out);
-        self.accumulate_flat_blocked(head_end / i0, tail_start / i0, out);
-        self.accumulate_flat_streamed(tail_start, hi, out);
-    }
-
-    /// Blocked (`b`-edge) walk over the whole mode-0 runs with *rest*
-    /// indices (the colex linearization of modes `1..N`) in `[rlo, rhi)`.
-    ///
-    /// The run space is tiled on both axes: `tile` runs share one residency
-    /// of each `tile x r` block of `A^(1)` (and, for `n == 0`, of the
-    /// output), and the Hadamard row of every run in the band is computed
-    /// once and cached — so a large skinny tensor stops re-streaming the
-    /// full `I_1 x R` factor from memory for every run. Residency is
-    /// `2*b*R` words, within the budget of the plan's Eq. (11)-style tile
-    /// (`b^N + N*b*R <= M` with `N >= 2`).
-    fn accumulate_flat_blocked(&self, rlo: usize, rhi: usize, out: &mut [f64]) {
-        let (x, factors, n, r) = (self.x, self.factors, self.n, self.r);
-        let shape = x.shape();
-        let order = shape.order();
-        let i0 = shape.dim(0);
-        let data = x.data();
-        let tile = self.tile;
-        let f0 = factors[0];
-
-        let mut idx = vec![0usize; order];
-        // Per-band caches: one Hadamard row and (for n != 0) one output row
-        // index per run in the band.
-        let mut wband = vec![0.0f64; tile * r];
-        let mut rows = vec![0usize; tile];
-
-        let mut band = rlo;
-        while band < rhi {
-            let bandw = tile.min(rhi - band);
-            for t in 0..bandw {
-                shape.delinearize_into((band + t) * i0, &mut idx);
-                let w = &mut wband[t * r..(t + 1) * r];
-                w.iter_mut().for_each(|v| *v = 1.0);
-                for (k, f) in factors.iter().enumerate().skip(1) {
-                    if k == n {
-                        continue;
-                    }
-                    for (wv, &a) in w.iter_mut().zip(f.row(idx[k])) {
-                        *wv *= a;
-                    }
-                }
-                rows[t] = if n == 0 { 0 } else { idx[n] };
-            }
-            let mut b0 = 0;
-            while b0 < i0 {
-                let b1 = (b0 + tile).min(i0);
-                for t in 0..bandw {
-                    let base = (band + t) * i0;
-                    let w = &wband[t * r..(t + 1) * r];
-                    if n == 0 {
-                        for (i, &xv) in data[base + b0..base + b1].iter().enumerate() {
-                            let o = (b0 + i) * r;
-                            for (ov, &wv) in out[o..o + r].iter_mut().zip(w) {
-                                *ov += xv * wv;
-                            }
-                        }
-                    } else {
-                        let o = rows[t] * r;
-                        let orow = &mut out[o..o + r];
-                        for (i, &xv) in data[base + b0..base + b1].iter().enumerate() {
-                            let a0 = f0.row(b0 + i);
-                            for c in 0..r {
-                                orow[c] += xv * a0[c] * w[c];
-                            }
-                        }
-                    }
-                }
-                b0 = b1;
-            }
-            band += bandw;
-        }
-    }
-
-    /// Streams the flat entry range `[lo, hi)` in mode-0 runs: the Hadamard
-    /// product over modes `1..N` is computed once per run and reused for
-    /// all `I_0` entries of the run. The untiled baseline of the flat path
-    /// (and the handler for partial runs at blocked-range boundaries).
-    fn accumulate_flat_streamed(&self, lo: usize, hi: usize, out: &mut [f64]) {
-        let (x, factors, n, r) = (self.x, self.factors, self.n, self.r);
-        let shape = x.shape();
-        let order = shape.order();
-        let i0 = shape.dim(0);
-        let data = x.data();
-        let mut idx = vec![0usize; order];
-        let mut w = vec![0.0f64; r];
-
-        let mut lin = lo;
-        while lin < hi {
-            shape.delinearize_into(lin, &mut idx);
-            let run = (i0 - idx[0]).min(hi - lin);
-            // w = Hadamard product of the participating factor rows for
-            // modes 1..N (constant along the mode-0 run).
-            w.iter_mut().for_each(|v| *v = 1.0);
-            for (k, f) in factors.iter().enumerate().skip(1) {
-                if k == n {
-                    continue;
-                }
-                for (wv, &a) in w.iter_mut().zip(f.row(idx[k])) {
-                    *wv *= a;
-                }
-            }
-            if n == 0 {
-                for (off, &xv) in data[lin..lin + run].iter().enumerate() {
-                    let o = (idx[0] + off) * r;
-                    for (ov, &wv) in out[o..o + r].iter_mut().zip(&w) {
-                        *ov += xv * wv;
-                    }
-                }
-            } else {
-                let o = idx[n] * r;
-                let (orow, f0) = (&mut out[o..o + r], factors[0]);
-                for (off, &xv) in data[lin..lin + run].iter().enumerate() {
-                    let a0 = f0.row(idx[0] + off);
-                    for c in 0..r {
-                        orow[c] += xv * a0[c] * w[c];
-                    }
-                }
-            }
-            lin += run;
-        }
-    }
-}
-
 /// Cache-tiled parallel MTTKRP on the given rayon pool. `tile` is the block
 /// edge (see [`native_tile`]); `factors[n]` is ignored.
 pub fn mttkrp_native(
@@ -364,7 +83,8 @@ pub fn mttkrp_native(
     tile: usize,
     pool: &rayon::ThreadPool,
 ) -> Matrix {
-    let r = mttkrp_tensor::validate_operands(x, factors, n);
+    let kernel = LocalKernel::new(x, factors, n).with_tile(tile);
+    let r = factors[0].cols();
     let shape = x.shape();
     let order = shape.order();
     let last = order - 1;
@@ -373,13 +93,6 @@ pub fn mttkrp_native(
     let threads = pool.current_num_threads().max(1);
     let grain = native_grain(i_last, x.num_entries(), threads);
 
-    let kernel = SlabKernel {
-        x,
-        factors,
-        n,
-        tile,
-        r,
-    };
     pool.install(|| match grain {
         ParGrain::LastModeSlabs { depth, .. } if n == last => {
             // Slabs own disjoint output rows: write in place, no reduction.
@@ -388,7 +101,7 @@ pub fn mttkrp_native(
                 .zip(x.par_last_mode_slabs(depth))
                 .for_each(|((row0, rows), (j0, slab))| {
                     debug_assert_eq!(row0, j0);
-                    kernel.accumulate(j0, slab, rows, j0);
+                    kernel.accumulate_slab(j0, slab, rows, j0);
                 });
             b
         }
@@ -398,7 +111,7 @@ pub fn mttkrp_native(
                 .fold(
                     || Matrix::zeros(i_n, r),
                     |mut acc, (j0, slab)| {
-                        kernel.accumulate(j0, slab, acc.data_mut(), 0);
+                        kernel.accumulate_slab(j0, slab, acc.data_mut(), 0);
                         acc
                     },
                 )
@@ -516,6 +229,7 @@ impl Backend for NativeBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mttkrp_core::kernels::FLAT_BLOCK_MIN_FACTOR_WORDS;
     use mttkrp_tensor::{mttkrp_reference, Shape};
 
     fn setup(dims: &[usize], r: usize, seed: u64) -> (DenseTensor, Vec<Matrix>) {
@@ -637,7 +351,7 @@ mod tests {
                 native_grain(dims[dims.len() - 1], x.num_entries(), 8),
                 ParGrain::FlatRanges { .. }
             ));
-            assert!(!flat_blocking_pays(dims[0], 5));
+            assert!(dims[0] * 5 < FLAT_BLOCK_MIN_FACTOR_WORDS);
             for n in 0..dims.len() {
                 let want = mttkrp_reference(&x, &refs, n);
                 for tile in [1, 16, 1024] {
@@ -664,7 +378,7 @@ mod tests {
             .unwrap();
         for dims in [&[16384, 6, 2][..], &[16384, 3, 2, 2]] {
             let r = 4;
-            assert!(flat_blocking_pays(dims[0], r));
+            assert!(dims[0] * r >= FLAT_BLOCK_MIN_FACTOR_WORDS);
             let (x, factors) = setup(dims, r, 22);
             let refs: Vec<&Matrix> = factors.iter().collect();
             assert!(matches!(

@@ -137,10 +137,10 @@ impl Plan {
     /// chosen for the simulator's per-column residency (`b^N + N*b`); the
     /// native kernel keeps whole `b x R` factor sub-blocks resident, so the
     /// plan's block is additionally capped by the rank-aware Eq. (11)
-    /// analogue ([`crate::native::native_tile`]) to stay inside the
+    /// analogue ([`mttkrp_core::kernels::native_tile`]) to stay inside the
     /// machine's cache budget.
     pub fn native_tile(&self) -> usize {
-        let rank_aware = crate::native::native_tile(
+        let rank_aware = mttkrp_core::kernels::native_tile(
             self.machine.fast_memory_words,
             self.problem.order(),
             self.problem.rank as usize,

@@ -5,18 +5,32 @@
 //! a profile three PRs later.
 //!
 //! Lives in its own integration-test binary so the counting allocator
-//! cannot perturb (or be perturbed by) the rest of the suite.
+//! cannot perturb (or be perturbed by) the rest of the suite. Within the
+//! binary the two tests are isolated from each other: each holds
+//! [`SERIAL`] for its whole body (so the enabled test's capture never
+//! turns tracing on under the disabled one), and the allocator counts only
+//! the calling thread's allocations (so the harness's own threads cannot
+//! add to a window either).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. `const`-initialised and free of
+    /// `Drop`, so reading it from inside the allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -25,7 +39,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -33,12 +47,24 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Held by every test for its whole body: the obs enable flag and capture
+/// are process-global.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]
 fn disabled_hot_path_allocates_nothing() {
+    let _serial = serial();
     assert!(!mttkrp_obs::enabled());
     // Warm up any lazily-initialized thread state outside the window.
     {
@@ -72,6 +98,7 @@ fn disabled_hot_path_allocates_nothing() {
 
 #[test]
 fn enabled_path_still_works_under_the_counting_allocator() {
+    let _serial = serial();
     let cap = mttkrp_obs::capture();
     {
         let _s = mttkrp_obs::span("request").with("kind", "alloc-test");

@@ -399,6 +399,7 @@ fn run_acceptor(
         if stop.load(Ordering::Acquire) {
             return; // the self-connect (or a last-instant client)
         }
+        configure_accepted(&stream);
         counter_add(&shared.metrics, metric::CONNECTIONS, 1);
         let id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
@@ -411,6 +412,15 @@ fn run_acceptor(
         };
         lock(&shared.handlers).push(handler);
     }
+}
+
+/// Socket options for an accepted connection. `TCP_NODELAY` matches the
+/// client side: every reply is one small frame written as soon as it is
+/// ready, and Nagle's algorithm would hold it back until the peer's
+/// delayed ACK. Best effort — a socket that refuses the option still
+/// serves, just slower.
+fn configure_accepted(stream: &TcpStream) {
+    let _ = stream.set_nodelay(true);
 }
 
 /// The history ticker: every `interval` it closes one delta window over
@@ -729,4 +739,19 @@ fn serve_frames(
         flag.cancel();
     }
     (requests, bytes_in)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_sockets_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap());
+        configure_accepted(&accepted);
+        assert!(accepted.nodelay().unwrap());
+    }
 }
